@@ -63,7 +63,8 @@ use ftes_model::Cost;
 use ftes_opt::CoreBudget;
 
 use super::journal::Journal;
-use super::protocol::{checksum, matrix_fingerprint, Frame, FrameReader, RecvError, PROTO_VERSION};
+use super::protocol::{checksum, incoming_until, matrix_fingerprint, wake_acceptor};
+use super::protocol::{Frame, FrameReader, RecvError, PROTO_VERSION};
 use super::{DistConfig, DistStats};
 use crate::matrix::{cell_json, run_cell_budgeted};
 use crate::Strategy;
@@ -410,28 +411,14 @@ impl Coordinator {
         let mut emit_counts = vec![0u32; total];
         let mut sink_emitted = 0u64;
 
-        listener
-            .set_nonblocking(true)
-            .map_err(|e| format!("coordinator listener setup failed: {e}"))?;
-
         std::thread::scope(|scope| {
-            // Acceptor: polls for connections, one handler thread each.
+            // Acceptor: blocks in accept, one handler thread per
+            // connection, until the emitter below ends the run and wakes it.
             scope.spawn(|| {
-                while !shared.done() {
-                    match listener.accept() {
-                        Ok((stream, _peer)) => {
-                            scope.spawn(|| {
-                                handle_worker(stream, &shared, total, &cfg, &fingerprint, epoch);
-                            });
-                        }
-                        Err(e)
-                            if e.kind() == std::io::ErrorKind::WouldBlock
-                                || e.kind() == std::io::ErrorKind::TimedOut =>
-                        {
-                            std::thread::sleep(poll);
-                        }
-                        Err(_) => std::thread::sleep(poll),
-                    }
+                for stream in incoming_until(&listener, poll, || shared.done()) {
+                    scope.spawn(|| {
+                        handle_worker(stream, &shared, total, &cfg, &fingerprint, epoch);
+                    });
                 }
             });
 
@@ -496,6 +483,8 @@ impl Coordinator {
                     .unwrap_or_else(|p| p.into_inner().0);
                 drop(guard);
             }
+            // The run is over (done, ckill or a fatal journal error).
+            wake_acceptor(listener.local_addr());
         });
 
         let st = shared.state.into_inner().unwrap_or_else(|p| p.into_inner());

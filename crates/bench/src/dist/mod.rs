@@ -54,9 +54,10 @@ pub struct DistConfig {
     /// keeps a worker busy while its previous result is in transit and
     /// gives the shutdown drain something real to drain.
     pub pipeline: usize,
-    /// Socket poll slice (milliseconds) — the granularity of every
-    /// timeout check; no read or write ever blocks longer than a few of
-    /// these.
+    /// Socket read-timeout slice (milliseconds) — the granularity of
+    /// every timeout check; no read or write ever blocks longer than a
+    /// few of these. Accepts block and never wait on it (it is only the
+    /// back-off after an accept error).
     pub io_poll_ms: u64,
     /// Registration deadline (milliseconds) for a fresh connection to
     /// present its hello frame.

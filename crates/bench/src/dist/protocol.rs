@@ -35,7 +35,7 @@
 //! double-emitted into the resumed run's artifact.
 
 use std::io::{ErrorKind, Read};
-use std::net::TcpStream;
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::time::{Duration, Instant};
 
 /// Protocol version; bumped on any incompatible frame change (v2 added
@@ -350,10 +350,17 @@ pub enum RecvError {
     Io(String),
 }
 
+/// The longest line (its `\n` included) a [`FrameReader`] buffers. Real
+/// frames are a few KB (a cell payload); anything this long without a
+/// newline is a broken or hostile peer, and its connection is closed
+/// instead of growing the buffer without limit.
+pub const MAX_FRAME_BYTES: usize = 1 << 20;
+
 /// A line reader over a [`TcpStream`] that survives socket read
 /// timeouts: partial lines accumulate across calls (a slow or hung peer
 /// can stall a frame, never corrupt it) and multiple lines arriving in
-/// one segment are handed out one at a time.
+/// one segment are handed out one at a time. The buffer never holds
+/// more than [`MAX_FRAME_BYTES`].
 #[derive(Debug)]
 pub struct FrameReader {
     buf: Vec<u8>,
@@ -406,7 +413,8 @@ impl FrameReader {
     ///
     /// [`RecvError::Timeout`] when the deadline passes (or `stop`
     /// returns true), [`RecvError::Closed`] on EOF, [`RecvError::Io`]
-    /// on any other transport error.
+    /// on any other transport error or a line longer than
+    /// [`MAX_FRAME_BYTES`].
     pub fn read_line(
         &mut self,
         stream: &mut TcpStream,
@@ -417,6 +425,11 @@ impl FrameReader {
         loop {
             if let Some(line) = self.pop_line() {
                 return Ok(line);
+            }
+            if self.buf.len() >= MAX_FRAME_BYTES {
+                return Err(RecvError::Io(format!(
+                    "frame exceeds {MAX_FRAME_BYTES} bytes without a newline"
+                )));
             }
             if stop() || Instant::now() >= deadline {
                 return Err(RecvError::Timeout);
@@ -429,7 +442,8 @@ impl FrameReader {
                 .set_read_timeout(Some(slice))
                 .map_err(|e| RecvError::Io(e.to_string()))?;
             let mut chunk = [0u8; 4096];
-            match stream.read(&mut chunk) {
+            let room = chunk.len().min(MAX_FRAME_BYTES - self.buf.len());
+            match stream.read(&mut chunk[..room]) {
                 Ok(0) => {
                     // EOF: a final unterminated fragment is a truncated
                     // frame — surface Closed, the fragment dies with us.
@@ -448,6 +462,42 @@ impl Default for FrameReader {
     fn default() -> Self {
         FrameReader::new()
     }
+}
+
+/// The connections accepted on a blocking `listener` until `stop`
+/// returns true ([`TcpListener::incoming`] with an end). Whoever makes
+/// `stop` true then calls [`wake_acceptor`], so `stop` is checked each
+/// time `accept()` returns. `Interrupted` and `ConnectionAborted` retry
+/// at once; other errors (e.g. `EMFILE`) back off one `poll` and retry.
+pub fn incoming_until<'a>(
+    listener: &'a TcpListener,
+    poll: Duration,
+    stop: impl Fn() -> bool + 'a,
+) -> impl Iterator<Item = TcpStream> + 'a {
+    std::iter::from_fn(move || loop {
+        match listener.accept() {
+            _ if stop() => return None,
+            Ok((stream, _peer)) => return Some(stream),
+            Err(e) => match e.kind() {
+                ErrorKind::Interrupted | ErrorKind::ConnectionAborted => {}
+                _ => std::thread::sleep(poll),
+            },
+        }
+    })
+}
+
+/// Wakes an [`incoming_until`] blocked on the listener at `addr` (a
+/// `local_addr()` of the listener or of a connection it accepted) with
+/// one throwaway connection, over loopback if `addr` is unspecified.
+pub fn wake_acceptor(addr: std::io::Result<SocketAddr>) {
+    let Ok(mut addr) = addr else { return };
+    if addr.ip().is_unspecified() {
+        addr.set_ip(match addr {
+            SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+            SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+        });
+    }
+    let _ = TcpStream::connect(addr);
 }
 
 #[cfg(test)]
@@ -592,6 +642,65 @@ mod tests {
             || false,
         );
         assert_eq!(end, Err(RecvError::Closed));
+    }
+
+    #[test]
+    fn frame_reader_rejects_a_line_past_the_frame_cap() {
+        use std::io::Write;
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let writer = std::thread::spawn(move || {
+            let mut s = TcpStream::connect(addr).unwrap();
+            // A full frame first (it must still be served), then more
+            // than the cap with no newline; the reader closes the
+            // connection, so later writes may fail.
+            s.write_all(b"{\"frame\":\"bye\"}\n").unwrap();
+            let block = [b'x'; 64 * 1024];
+            for _ in 0..(MAX_FRAME_BYTES / block.len() + 2) {
+                if s.write_all(&block).is_err() {
+                    break;
+                }
+            }
+        });
+        let (mut stream, _) = listener.accept().unwrap();
+        let mut reader = FrameReader::new();
+        let deadline = Instant::now() + Duration::from_secs(30);
+        let poll = Duration::from_millis(10);
+        let first = reader.read_line(&mut stream, deadline, poll, || false);
+        assert_eq!(Frame::parse(&first.unwrap()).unwrap(), Frame::Bye);
+        match reader.read_line(&mut stream, deadline, poll, || false) {
+            Err(RecvError::Io(msg)) => assert!(msg.contains("exceeds"), "{msg}"),
+            other => panic!("oversized line must be an error, got {other:?}"),
+        }
+        assert!(reader.buf.len() <= MAX_FRAME_BYTES, "{}", reader.buf.len());
+        drop(stream);
+        writer.join().unwrap();
+    }
+
+    #[test]
+    fn wake_ends_an_acceptor_bound_to_the_unspecified_address() {
+        use std::sync::atomic::{AtomicBool, Ordering};
+        let listener = TcpListener::bind("0.0.0.0:0").unwrap();
+        let stop = AtomicBool::new(false);
+        let (accepted_tx, accepted) = std::sync::mpsc::channel();
+        std::thread::scope(|scope| {
+            let acceptor = scope.spawn(|| {
+                let poll = Duration::from_secs(60);
+                for stream in incoming_until(&listener, poll, || stop.load(Ordering::SeqCst)) {
+                    accepted_tx.send(stream).unwrap();
+                }
+            });
+            let port = listener.local_addr().unwrap().port();
+            let _client = TcpStream::connect(("127.0.0.1", port)).unwrap();
+            accepted.recv().unwrap();
+            stop.store(true, Ordering::SeqCst);
+            wake_acceptor(listener.local_addr());
+            acceptor.join().unwrap();
+        });
+        assert!(
+            accepted.try_recv().is_err(),
+            "the wake-up is not a connection"
+        );
     }
 
     #[test]

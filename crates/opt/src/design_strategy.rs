@@ -114,7 +114,7 @@ enum ArchOutcome {
 /// On the paper's Fig. 1 example the strategy finds a two-node solution at
 /// least as cheap as the paper's Fig. 4a optimum (72 units; with the
 /// reconstructed tables the search finds an even cheaper mixed-hardening
-/// alternative, see `DESIGN.md`):
+/// alternative):
 ///
 /// ```
 /// use ftes_model::{paper, Cost};
@@ -428,7 +428,7 @@ mod tests {
         // reconstructed tables the full search additionally finds a valid
         // mixed-hardening solution at cost 52 (N1² + N2¹ with k = (1, 3)),
         // which satisfies the same SFP analysis and deadline — so we assert
-        // "at least as good as the paper's optimum". See DESIGN.md §7.
+        // "at least as good as the paper's optimum".
         let sys = paper::fig1_system();
         let out = design_strategy(&sys, &OptConfig::default())
             .unwrap()

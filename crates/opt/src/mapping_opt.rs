@@ -340,8 +340,8 @@ mod tests {
     fn two_node_search_beats_or_matches_the_paper_optimum() {
         // The paper declares the Fig. 4a split (h = (2,2), cost 72) the
         // cheapest two-processor solution; with the reconstructed tables
-        // the tabu search finds a valid mixed-hardening solution at 52
-        // (see DESIGN.md §7), so assert "at least as good" plus validity.
+        // the tabu search finds a valid mixed-hardening solution at 52,
+        // so assert "at least as good" plus validity.
         let sys = paper::fig1_system();
         let (base, _) = paper::fig4_alternative('a');
         let out = mapping_algorithm(&sys, &base, Objective::Cost, &OptConfig::default(), None)

@@ -3,9 +3,10 @@
 //!
 //! Concurrency model:
 //!
-//! * The listener is non-blocking; the accept loop polls it and a stop
-//!   flag, so a `shutdown` request (or a closed listener) ends the run
-//!   promptly.
+//! * The listener is blocking, so a new connection is accepted the
+//!   moment it arrives. A `shutdown` request sets the stop flag and then
+//!   makes one connection to the listener's own address to wake the
+//!   blocked `accept()`, which sees the flag and ends the run.
 //! * Each connection gets a scoped handler thread reading line-framed
 //!   requests with the distributed runner's [`FrameReader`] (partial
 //!   lines accumulate across reads; a slow client can stall its own
@@ -32,7 +33,7 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-use ftes_bench::dist::protocol::{FrameReader, RecvError};
+use ftes_bench::dist::protocol::{incoming_until, wake_acceptor, FrameReader, RecvError};
 use ftes_bench::matrix::{cell_json, run_cell_seeded};
 use ftes_gen::Scenario;
 use ftes_model::Cost;
@@ -59,7 +60,9 @@ pub struct ServerConfig {
     /// Maximum concurrent engine runs; the total budget is split over
     /// these slots via [`CoreBudget::fan_out`].
     pub engine_slots: usize,
-    /// Socket poll slice for the accept loop and frame reads.
+    /// Read-timeout slice for frame reads: a handler checks the stop
+    /// flag between slices. Accepts block and never wait on it (it is
+    /// only the back-off after an accept error).
     pub io_poll_ms: u64,
     /// Per-connection idle limit: a connection with no complete request
     /// line for this long is closed (the client can reconnect).
@@ -245,9 +248,6 @@ impl Server {
     /// Returns a message when the bind or the cache-dir creation fails.
     pub fn bind(addr: &str, cfg: ServerConfig) -> Result<Server, String> {
         let listener = TcpListener::bind(addr).map_err(|e| format!("cannot bind {addr}: {e}"))?;
-        listener
-            .set_nonblocking(true)
-            .map_err(|e| format!("cannot set nonblocking: {e}"))?;
         Ok(Server { listener, cfg })
     }
 
@@ -278,25 +278,10 @@ impl Server {
         let poll = Duration::from_millis(self.cfg.io_poll_ms.max(1));
 
         std::thread::scope(|scope| {
-            while !stop.load(Ordering::SeqCst) {
-                match self.listener.accept() {
-                    Ok((stream, _peer)) => {
-                        let (cache, inflight, gate, stop, cfg) =
-                            (&cache, &inflight, &gate, &stop, &self.cfg);
-                        scope.spawn(move || {
-                            handle_connection(stream, cache, inflight, gate, stop, cfg, per_slot);
-                        });
-                    }
-                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                        std::thread::sleep(poll);
-                    }
-                    Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-                    Err(e) => {
-                        // A broken listener cannot serve anyone; stop.
-                        eprintln!("accept failed: {e}");
-                        stop.store(true, Ordering::SeqCst);
-                    }
-                }
+            for stream in incoming_until(&self.listener, poll, || stop.load(Ordering::SeqCst)) {
+                scope.spawn(|| {
+                    handle_connection(stream, &cache, &inflight, &gate, &stop, &self.cfg, per_slot)
+                });
             }
         });
         Ok(cache.into_inner().expect("cache poisoned").stats())
@@ -350,6 +335,8 @@ fn handle_connection(
             },
             Ok(Request::Shutdown) => {
                 stop.store(true, Ordering::SeqCst);
+                // This connection's local address is the listener's.
+                wake_acceptor(stream.local_addr());
                 Response::Ok
             }
             // Malformed lines don't touch the cache or its counters.
@@ -584,6 +571,11 @@ mod tests {
                 })
             })
         };
+        // Only once the leader owns key 9 may the follower start: a
+        // follower spawned earlier could take the key and lead itself.
+        while !inflight.runs.lock().unwrap().contains_key(&9) {
+            std::thread::yield_now();
+        }
         let follower = {
             let inflight = Arc::clone(&inflight);
             std::thread::spawn(move || coalesce_compute(&inflight, 9, |_| unreachable!()))

@@ -1,10 +1,12 @@
 //! End-to-end server tests over loopback: cache-hit semantics within
-//! one process lifetime, and — the tentpole guarantee — the disk tier
-//! surviving a restart with byte-identical responses.
+//! one process lifetime, the disk tier surviving a restart with
+//! byte-identical responses, and connection set-up and shutdown that
+//! never wait on the socket poll slice.
 
 use std::io::{BufRead, BufReader, Write as _};
 use std::net::TcpStream;
 use std::path::PathBuf;
+use std::time::{Duration, Instant};
 
 use ftes_opt::Threads;
 use ftes_server::{Goal, Request, Response, Server, ServerConfig};
@@ -288,4 +290,41 @@ fn concurrent_identical_requests_coalesce_onto_one_engine_run() {
     // means racers join it instead of queueing behind it, so a burst of
     // identical requests never runs the engine once each.
     assert!(engine_runs < N as u64, "{labels:?}");
+}
+
+#[test]
+fn fresh_connections_and_shutdown_never_wait_on_the_poll_slice() {
+    // A 5 s poll makes any accept path still bound to it cost seconds
+    // per connection; blocking accepts answer in milliseconds.
+    let poll = Duration::from_millis(5_000);
+    let cfg = ServerConfig {
+        mem_cap: 4,
+        io_poll_ms: poll.as_millis() as u64,
+        ..ServerConfig::default()
+    };
+    let server = Server::bind("127.0.0.1:0", cfg).expect("bind loopback");
+    let addr = server.local_addr().to_string();
+    let handle = std::thread::spawn(move || server.run());
+
+    let started = Instant::now();
+    for _ in 0..20 {
+        let stats = round_trip(&addr, &Request::Stats);
+        assert!(matches!(stats, Response::Stats(_)), "{stats:?}");
+    }
+    let trips = started.elapsed();
+    assert!(
+        trips < poll / 4,
+        "20 fresh-connection round trips took {trips:?} against a {poll:?} poll"
+    );
+
+    // Every earlier connection is closed, so only the accept loop can
+    // hold `run()` open once the shutdown is acknowledged.
+    assert_eq!(round_trip(&addr, &Request::Shutdown), Response::Ok);
+    let acked = Instant::now();
+    handle.join().expect("server thread").expect("server run");
+    let wind_down = acked.elapsed();
+    assert!(
+        wind_down < poll / 4,
+        "run() returned {wind_down:?} after the shutdown ack against a {poll:?} poll"
+    );
 }

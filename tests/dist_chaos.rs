@@ -141,6 +141,45 @@ fn fault_free_distributed_run_matches_sequential_bytes() {
 }
 
 #[test]
+fn accepts_and_wind_down_never_wait_on_the_poll_slice() {
+    // An acceptor that slept a poll slice before each worker's
+    // connection (or before noticing the run was over) would hold this
+    // run for at least one poll; blocking accepts plus the emitter's
+    // wake-up connection finish it in engine time. The poll is far above
+    // that time (about 1.4 s on an unoptimized build on a loaded 2-CPU
+    // machine) so the bound holds under load.
+    let cells: Vec<Scenario> = mini_matrix().into_iter().take(4).collect();
+    let expected = sequential_payloads(&cells);
+    // Long lease and grace: no expiry or local fallback can stretch the run.
+    let cfg = DistConfig {
+        io_poll_ms: 10_000,
+        lease_ms: 60_000,
+        grace_ms: 60_000,
+        ..test_cfg()
+    };
+    let workers = [
+        LocalWorkerSpec {
+            seed: 1,
+            ..LocalWorkerSpec::default()
+        },
+        LocalWorkerSpec {
+            seed: 2,
+            ..LocalWorkerSpec::default()
+        },
+    ];
+    let started = std::time::Instant::now();
+    let (stats, _, got) = dist_run(&cells, &cfg, &workers);
+    let took = started.elapsed();
+    assert_eq!(got, expected);
+    assert_eq!(stats.cells_emitted, cells.len() as u64);
+    assert!(
+        took < std::time::Duration::from_millis(cfg.io_poll_ms),
+        "4-cell run took {took:?}, at least one {} ms poll slice",
+        cfg.io_poll_ms
+    );
+}
+
+#[test]
 fn deserted_coordinator_falls_back_to_local_without_hanging() {
     let cells = mini_matrix();
     let expected = sequential_payloads(&cells);

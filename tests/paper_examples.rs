@@ -135,7 +135,8 @@ fn section_6_1_narration() {
 
 /// The design strategy on Fig. 1 returns a valid solution at least as cheap
 /// as the paper's 72-unit optimum, which itself evaluates exactly as
-/// published (cf. DESIGN.md §7 on the cheaper mixed-hardening solution).
+/// published (the search also finds a cheaper mixed-hardening solution
+/// at 52 units).
 #[test]
 fn design_strategy_on_fig1() {
     let sys = paper::fig1_system();
