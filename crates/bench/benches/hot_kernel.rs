@@ -1,7 +1,7 @@
 //! Microbenchmarks of the evaluation hot kernel (PR 5): the
 //! `run_light` scheduling walk across graph shapes and sizes, priority
-//! full recompute vs delta sync, and the memo hit paths of the
-//! incremental engine.
+//! full recompute vs delta sync, and the executed-probe and tabu-memo
+//! paths of the incremental engine.
 //!
 //! Run with `cargo bench --bench hot_kernel`.
 
@@ -143,31 +143,25 @@ fn bench_priorities(c: &mut Criterion) {
     group.finish();
 }
 
-/// The incremental engine's per-probe paths: a memoized candidate hit,
-/// an executed hardening delta, and a full tabu-memo revisit.
+/// The incremental engine's per-probe paths: an executed hardening delta
+/// and a full tabu-memo revisit (memoized and unmemoized).
 fn bench_memo_paths(c: &mut Criterion) {
     let f = fixture(GraphShape::Paper, 0);
     let config = OptConfig::default();
     let mut group = c.benchmark_group("memo");
-    group.bench_function("candidate_hit", |b| {
-        let mut evaluator = Evaluator::new(&f.system, &config);
-        evaluator.evaluate(&f.arch, &f.mapping).unwrap();
-        b.iter(|| evaluator.evaluate(&f.arch, &f.mapping).unwrap())
-    });
     group.bench_function("hardening_delta_executed", |b| {
         let mut evaluator = Evaluator::new(&f.system, &config);
         let mut arch = f.arch.clone();
         evaluator.evaluate(&arch, &f.mapping).unwrap();
         let up = HLevel::new(2).unwrap();
         let down = HLevel::MIN;
-        // Distinct candidates each iteration defeat the candidate memo,
-        // so this times the executed delta path (SFP + priorities +
-        // run_light). The cache is dropped implicitly by alternating.
+        // Alternating hardening levels: each probe is a one-node delta
+        // through the executed path (SFP + priorities + run_light).
         b.iter(|| {
             arch.set_hardening(NodeId::new(0), up);
-            let a = evaluator.evaluate_uncached(&arch, &f.mapping).unwrap();
+            let a = evaluator.evaluate(&arch, &f.mapping).unwrap();
             arch.set_hardening(NodeId::new(0), down);
-            let b2 = evaluator.evaluate_uncached(&arch, &f.mapping).unwrap();
+            let b2 = evaluator.evaluate(&arch, &f.mapping).unwrap();
             (a, b2)
         })
     });

@@ -178,6 +178,32 @@ mod tests {
         );
     }
 
+    /// Pins Fig. 6a on a reduced grid (4 applications per HPD point)
+    /// exactly, so any change to the engine's results shows at the
+    /// figure level.
+    ///
+    /// The paper (150 applications) reports MAX 71/63/49/41, MIN
+    /// 76/76/76/76 and OPT 94/86/84/84 % over HPD 5/25/50/100 %. The
+    /// full-size reproduction tracks MIN and OPT but not MAX, which falls
+    /// much faster with HPD (64.0/44.7/25.3/4.0 %): a known deviation of
+    /// the reconstructed HPD model, open on the roadmap.
+    #[test]
+    fn fig6a_reduced_grid_is_pinned() {
+        let rows: Vec<(String, f64, f64, f64)> = fig6a(4)
+            .into_iter()
+            .map(|r| (r.label, r.max, r.min, r.opt))
+            .collect();
+        // (label, MAX, MIN, OPT) in % of the 4 applications.
+        let expected = [
+            ("HPD = 5%", 75.0, 50.0, 100.0),
+            ("HPD = 25%", 50.0, 50.0, 75.0),
+            ("HPD = 50%", 25.0, 50.0, 75.0),
+            ("HPD = 100%", 0.0, 50.0, 75.0),
+        ]
+        .map(|(label, max, min, opt)| (label.to_string(), max, min, opt));
+        assert_eq!(rows, expected);
+    }
+
     #[test]
     fn improvement_is_none_when_infeasible() {
         let out = CcOutcome {

@@ -8,30 +8,29 @@
 //! although consecutive probes differ in a single node's hardening level
 //! or a single process re-mapping.
 //!
-//! [`Evaluator`] exploits that structure on three levels:
+//! [`Evaluator`] exploits that structure on two levels:
 //!
-//! 1. **Memo cache.** Results are cached per (architecture, mapping)
-//!    candidate — one fasthash over the candidate identity with exact
-//!    verification on hit (a collision degrades to a miss, never a wrong
-//!    result) — behind `Arc` so hits are pointer copies. The reduction
-//!    phase re-visits the increase phase's endpoint and aspiration
-//!    re-probes recently evaluated candidates; each repeat is a lookup.
-//!    (Whole-mapping revisits are absorbed one level up by
-//!    [`RedundancyMemo`](crate::RedundancyMemo).)
-//! 2. **Incremental SFP.** On a miss, the per-node `Pr(f > k)` series are
+//! 1. **Incremental SFP.** The per-node `Pr(f > k)` series are
 //!    delta-synced through [`SystemSfp`]: the candidate is diffed against
 //!    the previously synced one and only the touched nodes are updated —
 //!    `O(changed)` instead of `O(all nodes × max_k)` — where `SystemSfp`'s
 //!    own configuration memo and lazy series extension make even a touched
 //!    node cheap when its configuration was seen before or its budget
 //!    stays small.
-//! 3. **The flat scheduling kernel.** One merged `ExecSpec` pass per
-//!    executed probe resolves every process's WCET and failure
-//!    probability together; the WCETs feed a
+//! 2. **The flat scheduling kernel.** One merged `ExecSpec` pass per
+//!    probe resolves every process's WCET and failure probability
+//!    together; the WCETs feed a
 //!    [`PriorityCache`](ftes_sched::PriorityCache) (longest-path
 //!    priorities delta-maintained across probes) and
 //!    [`Scheduler::run_light_flat`] — the list-scheduling walk with no
 //!    architecture or timing-table lookups left in the loop.
+//!
+//! Every probe runs this executed path; there is no per-candidate result
+//! memo. Whole-mapping revisits — the only repeats frequent enough to pay
+//! for a lookup — are absorbed one level up by
+//! [`RedundancyMemo`](crate::RedundancyMemo), and an exact repeat of the
+//! last synced candidate touches no node, so it skips the SFP delta and
+//! re-prices no priority.
 //!
 //! Mapping validation is hoisted out of the inner loops: a (node-types,
 //! mapping) pair is validated once, not once per hardening probe.
@@ -41,8 +40,6 @@
 //! `tests/incremental_differential.rs` pins the equivalence.
 
 use std::sync::Arc;
-
-use ftes_model::fasthash::FastHashMap;
 
 use ftes_model::{
     Architecture, Cost, FlatTiming, Mapping, ModelError, NodeId, NodeInstance, Prob, ProcessId,
@@ -54,10 +51,6 @@ use serde::{Deserialize, Serialize};
 
 use crate::config::{EvalMode, OptConfig};
 use crate::evaluation::{evaluate_fixed, Solution};
-
-/// Soft bound on memoized candidates; the cache is dropped wholesale when
-/// it grows past this (keeps worst-case memory bounded without an LRU).
-const CACHE_CAP: usize = 1 << 16;
 
 /// Candidates tracked by the [`ProbeArena`] for recycling.
 const ARENA_CAP: usize = 32;
@@ -146,12 +139,14 @@ impl Candidate {
 /// Counters of the incremental engine, aggregated per [`Evaluator`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub struct EvalStats {
-    /// Candidate evaluations requested (cache hits included).
+    /// Candidate evaluations requested.
     pub evaluations: u64,
-    /// Requests served from the (architecture, mapping) memo cache.
+    /// Always 0: the evaluator keeps no per-candidate result memo, so
+    /// every request is executed. Kept so that readers of the counters
+    /// (and [`evaluations_executed`](EvalStats::evaluations_executed))
+    /// stay source-compatible.
     pub cache_hits: u64,
-    /// Node deltas applied (a cache-missing candidate touches only its
-    /// changed nodes).
+    /// Node deltas applied (a probe touches only its changed nodes).
     pub sfp_nodes_computed: u64,
     /// Node series reused unchanged across consecutive probes.
     pub sfp_nodes_reused: u64,
@@ -195,7 +190,8 @@ impl EvalStats {
         self.arena_reuses += other.arena_reuses;
     }
 
-    /// Full evaluations actually executed (requests minus memo hits).
+    /// Full evaluations actually executed (requests minus
+    /// [`cache_hits`](EvalStats::cache_hits), which is 0).
     pub fn evaluations_executed(&self) -> u64 {
         self.evaluations - self.cache_hits
     }
@@ -205,19 +201,13 @@ impl EvalStats {
 ///
 /// Construct once per search (or per worker thread) and feed every
 /// candidate through [`evaluate`](Evaluator::evaluate); the evaluator
-/// carries the memo cache and the incremental SFP state across probes. In
+/// carries the incremental SFP, priority and WCET state across probes. In
 /// [`EvalMode::Scratch`] it degrades to calling [`evaluate_fixed`] per
 /// probe, bit-identically but without any reuse.
 #[derive(Debug)]
 pub struct Evaluator<'a> {
     system: &'a System,
     config: &'a OptConfig,
-    /// Memo: fasthash of (architecture, mapping) → candidate
-    /// (`Unreachable` = reliability goal unreachable). Single-level with
-    /// one hash pass per probe; entries are verified exactly on hit (the
-    /// candidate embeds its architecture and mapping), so a collision
-    /// degrades to a miss instead of a wrong result.
-    cache: FastHashMap<u64, CacheEntry>,
     /// Contiguous timing snapshot for the hot lookups.
     flat: FlatTiming,
     /// Incremental per-node SFP series, synced to the candidate described
@@ -260,14 +250,14 @@ pub struct Evaluator<'a> {
 /// A freelist of `Arc<Candidate>`s (plus scratch [`Architecture`]s for
 /// the redundancy walk) so steady-state probes allocate nothing.
 ///
-/// Every executed evaluation *tracks* its candidate here; `take` scans the
-/// tracked entries back to front for one whose other owners (the caller,
-/// the candidate cache, the mapping memo) have dropped their references
-/// (`strong_count == 1`) and recycles it by overwriting its fields in
-/// place — the `Architecture`/`Mapping`/`ks` rewrites reuse the existing
-/// allocations via `clone_from`. A candidate that is still referenced
-/// stays in the pool untouched, so recycling can never alias a live
-/// result; a pool overflow just drops the oldest tracking reference
+/// Every evaluation *tracks* its candidate here; `take` scans the tracked
+/// entries back to front for one whose other owners (the caller, the
+/// redundancy walk's best-so-far, the mapping memo) have dropped their
+/// references (`strong_count == 1`) and recycles it by overwriting its
+/// fields in place — the `Architecture`/`Mapping`/`ks` rewrites reuse the
+/// existing allocations via `clone_from`. A candidate that is still
+/// referenced stays in the pool untouched, so recycling can never alias a
+/// live result; a pool overflow just drops the oldest tracking reference
 /// (harmless — the candidate itself lives on with its other owners).
 #[derive(Debug, Default)]
 struct ProbeArena {
@@ -312,46 +302,12 @@ impl ProbeArena {
     }
 }
 
-/// One memoized candidate outcome, carrying its exact key material.
-#[derive(Debug)]
-enum CacheEntry {
-    /// A scored candidate (embeds its architecture and mapping).
-    Scored(Arc<Candidate>),
-    /// The reliability goal was unreachable for this candidate.
-    Unreachable {
-        architecture: Architecture,
-        mapping: Mapping,
-    },
-}
-
-/// One fasthash pass over the candidate identity (node instances +
-/// mapping vector), packing two 32-bit values per hashed word so the
-/// mapping vector costs half the rotate-multiply rounds.
-fn candidate_key(arch: &Architecture, mapping: &Mapping) -> u64 {
-    use std::hash::Hasher;
-    let mut h = ftes_model::fasthash::FastHasher::default();
-    h.write_usize(arch.node_count());
-    for node in arch.nodes() {
-        h.write_u64((node.node_type.index() as u64) << 8 | u64::from(node.hardening.get()));
-    }
-    let map = mapping.as_slice();
-    let mut chunks = map.chunks_exact(2);
-    for pair in &mut chunks {
-        h.write_u64((pair[0].index() as u64) << 32 | pair[1].index() as u64);
-    }
-    if let [last] = chunks.remainder() {
-        h.write_u64(last.index() as u64);
-    }
-    h.finish()
-}
-
 impl<'a> Evaluator<'a> {
     /// Creates an evaluator for one system under one configuration.
     pub fn new(system: &'a System, config: &'a OptConfig) -> Self {
         Evaluator {
             system,
             config,
-            cache: FastHashMap::default(),
             flat: FlatTiming::new(system.timing()),
             sfp: SystemSfp::new(0, config.max_k.0, config.rounding),
             synced: false,
@@ -435,8 +391,9 @@ impl<'a> Evaluator<'a> {
     }
 
     /// Evaluates one fully-specified candidate — the drop-in equivalent of
-    /// [`evaluate_fixed`] (same results bit for bit), with memoization and
-    /// incremental SFP re-analysis in [`EvalMode::Incremental`].
+    /// [`evaluate_fixed`] (same results bit for bit), with incremental SFP
+    /// re-analysis, delta-maintained priorities and the flat scheduling
+    /// walk in [`EvalMode::Incremental`].
     ///
     /// # Errors
     ///
@@ -451,67 +408,10 @@ impl<'a> Evaluator<'a> {
             return Ok(evaluate_fixed(self.system, arch, mapping, self.config)?
                 .map(|solution| Arc::new(Candidate::of_solution(solution))));
         }
-
-        let key = candidate_key(arch, mapping);
-        match self.cache.get(&key) {
-            Some(CacheEntry::Scored(c)) if c.architecture == *arch && c.mapping == *mapping => {
-                self.stats.cache_hits += 1;
-                return Ok(Some(Arc::clone(c)));
-            }
-            Some(CacheEntry::Unreachable {
-                architecture,
-                mapping: m,
-            }) if architecture == arch && m == mapping => {
-                self.stats.cache_hits += 1;
-                return Ok(None);
-            }
-            // Vacant, or a hash collision: compute and overwrite.
-            _ => {}
-        }
-
-        let candidate = self.compute(arch, mapping)?;
-
-        if self.cache.len() >= CACHE_CAP {
-            // Dropping the cache also unpins the arena's tracked
-            // candidates (their only other reference was the cache
-            // entry), so the probes after an overflow recycle those
-            // allocations instead of growing the heap.
-            self.cache.clear();
-        }
-        let entry = match &candidate {
-            Some(c) => CacheEntry::Scored(Arc::clone(c)),
-            None => CacheEntry::Unreachable {
-                architecture: arch.clone(),
-                mapping: mapping.clone(),
-            },
-        };
-        self.cache.insert(key, entry);
-        Ok(candidate)
-    }
-
-    /// [`evaluate`](Evaluator::evaluate) bypassing the candidate memo
-    /// entirely (no lookup, no insertion): always runs the executed
-    /// incremental path — delta SFP, priority sync, `run_light`. Exists
-    /// for the hot-kernel microbenches and delta-machinery tests; search
-    /// loops want [`evaluate`](Evaluator::evaluate).
-    ///
-    /// # Errors
-    ///
-    /// Same as [`evaluate`](Evaluator::evaluate).
-    pub fn evaluate_uncached(
-        &mut self,
-        arch: &Architecture,
-        mapping: &Mapping,
-    ) -> Result<Option<Arc<Candidate>>, ModelError> {
-        self.stats.evaluations += 1;
-        if self.config.eval_mode == EvalMode::Scratch {
-            return Ok(evaluate_fixed(self.system, arch, mapping, self.config)?
-                .map(|solution| Arc::new(Candidate::of_solution(solution))));
-        }
         self.compute(arch, mapping)
     }
 
-    /// The executed evaluation path behind both entry points.
+    /// The executed evaluation path of [`EvalMode::Incremental`].
     fn compute(
         &mut self,
         arch: &Architecture,
@@ -739,7 +639,7 @@ mod tests {
     }
 
     #[test]
-    fn repeated_probes_hit_the_cache() {
+    fn repeated_probes_are_executed_and_identical() {
         let sys = paper::fig1_system();
         let config = OptConfig::default();
         let mut ev = Evaluator::new(&sys, &config);
@@ -747,10 +647,15 @@ mod tests {
         let first = ev.evaluate(&arch, &mapping).unwrap();
         let second = ev.evaluate(&arch, &mapping).unwrap();
         assert_eq!(first, second);
+        assert_eq!(
+            first.as_deref().cloned(),
+            evaluate_fixed(&sys, &arch, &mapping, &config)
+                .unwrap()
+                .map(Candidate::of_solution)
+        );
         let stats = ev.stats();
         assert_eq!(stats.evaluations, 2);
-        assert_eq!(stats.cache_hits, 1);
-        assert_eq!(stats.evaluations_executed(), 1);
+        assert_eq!(stats.evaluations_executed(), 2);
     }
 
     #[test]

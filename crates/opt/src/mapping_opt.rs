@@ -138,9 +138,9 @@ impl<'a> Evaluator<'a> {
     /// Scores one tabu iteration's whole neighborhood in a single batched
     /// walk: for each probe `(p, node)` the mapping is re-pointed, the
     /// full redundancy optimization runs, and the mapping is restored —
-    /// with all shared state (the candidate cache, the incremental SFP
-    /// series, the priority cache, the budget scratch and the candidate
-    /// arena) resolved once underneath the walk instead of per probe.
+    /// with all shared state (the incremental SFP series, the priority
+    /// cache, the budget scratch and the candidate arena) resolved once
+    /// underneath the walk instead of per probe.
     ///
     /// `outcomes` is cleared and filled positionally: `outcomes[i]` is the
     /// redundancy outcome of `probes[i]` (`None` = reliability goal

@@ -48,9 +48,9 @@ pub struct RedundancyOutcome {
 /// The tabu search revisits mappings constantly — recently tried moves,
 /// the `Cost` pass re-walking the `ScheduleLength` pass's neighbourhood —
 /// and every revisit replays the whole hardening phase walk (dozens of
-/// candidate probes, each hashing a full architecture + mapping even on a
-/// cache hit). This memo collapses a revisit to **one** fasthash of the
-/// mapping vector. Keys are verified exactly on hit (the stored types and
+/// executed candidate probes, each a delta SFP sync, a budget search and
+/// a scheduling walk). This memo collapses a revisit to **one** fasthash
+/// of the mapping vector. Keys are verified exactly on hit (the stored types and
 /// mapping are compared), so a hash collision degrades to a miss instead
 /// of a wrong result — outcomes stay bit-identical to the unmemoized
 /// walk, which remains selectable via `MemoCap(0)` and is pinned by the
